@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-json bench-delta mcore-smoke fast-smoke pdes-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke cluster-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-json bench-delta mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke cluster-smoke clean
 
 all: build test
 
@@ -47,9 +47,10 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig12|Table2' -benchtime=1x ./...
 
-# Exactly what .github/workflows/ci.yml runs. The timeout on the grid
-# run is the wall-time tripwire: the full parallel evaluation at small
-# scale must finish well inside it, so an accidental serialization or a
+# The whole CI definition: .github/workflows/ci.yml checks out, sets
+# up Go and runs `make ci`, nothing else. The timeout on the grid run is
+# the wall-time tripwire: the full parallel evaluation at small scale
+# must finish well inside it, so an accidental serialization or a
 # sim-hot-path regression fails CI instead of silently tripling runtime.
 ci:
 	$(GO) build ./...
@@ -59,10 +60,12 @@ ci:
 	$(GO) build -o /tmp/dolos-bench-ci ./cmd/dolos-bench
 	timeout 300 /tmp/dolos-bench-ci -exp all -txns 50 > /dev/null
 	$(GO) run ./cmd/dolos-profile -grid -txns 50 -o /tmp/dolos-grid-ci.json
+	$(MAKE) validate
 	$(MAKE) mcore-smoke
 	$(MAKE) fast-smoke
-	$(MAKE) pdes-smoke
 	$(MAKE) scheme-smoke
+	$(MAKE) load-smoke
+	$(MAKE) chaos-smoke
 	$(MAKE) cluster-smoke
 
 # Multi-core determinism smoke under the race detector: a Cores>1 grid
@@ -73,27 +76,15 @@ mcore-smoke:
 	$(GO) test -race -run 'TestMCoreSmoke|TestCoresOneMatchesLegacy' ./internal/core
 	$(GO) test -race -run 'TestOoOWindowOneMatchesInOrder|TestMultiCoreDeterminism' ./internal/mcore
 
-# Fast-mode + parallel-DES smoke: the grid re-run with the latency-only
-# provider and with the pipelined shadow, each diffed in-run against the
-# functional serial records (one divergent deterministic field fails),
-# plus the exhaustive scheme×workload differential and the parallel-DES
-# equivalence proof under the race detector. Runs in CI.
+# Fast-mode smoke: the grid re-run with the latency-only provider,
+# diffed in-run against the functional records (one divergent
+# deterministic field fails), plus the exhaustive scheme×workload
+# differential under the race detector. Runs in CI.
 fast-smoke:
 	$(GO) run ./cmd/dolos-profile -grid -fast -txns 50 -o /tmp/dolos-fast-smoke.json
-	$(GO) test -race -run 'TestFastMode|TestParallelDES' ./internal/core
+	$(GO) test -race -run 'TestFastMode' ./internal/core
 	$(GO) test -run 'TestFastEngine|TestDispatchAllocFree' ./internal/crypt
 	$(GO) test -run 'TestFastMode|TestCrashRefused|TestNewDriverRejects' ./internal/attack ./internal/crash
-
-# Parallel-DES gate: the full equivalence proof surface under the race
-# detector — bit-identical RunRecord, dispatch-order hash, shadow NVM
-# snapshot, and the typed supported-matrix refusals — then a best-of-3
-# pdes grid gated on the CPU-aware geomean floor ('auto': 1.0x on
-# multi-core hosts, where the timing/shadow overlap must actually win;
-# 0.85x on a single-core host, where the two stages time-slice one CPU
-# and the gate only rejects a regression into duplicated bookkeeping).
-pdes-smoke:
-	$(GO) test -race -run 'TestParallelDES|TestFastModeWins' ./internal/core
-	$(GO) run ./cmd/dolos-profile -grid -fast -txns 50 -repeat 3 -pdes-floor auto -o /tmp/dolos-pdes-smoke.json
 
 # Scheme-registry smoke: every registered scheme (Dolos designs and the
 # related-work competitors — Triad-NVM, SuperMem, Phoenix, STUM) runs,
@@ -112,26 +103,27 @@ scheme-smoke:
 bench-json:
 	$(GO) run ./cmd/dolos-profile -grid -txns 200 -o BENCH_baseline.json
 
-# Re-run the baseline grid against BENCH_baseline.json: fails if any
-# deterministic field (cycles, event counts, retry counters) diverges
-# from the committed trajectory, and reports the host-side throughput
-# delta (sim_events_per_sec geomean). The refreshed grid — extended
-# with the related-work scheme records (-related, carrying the
+# Re-run the baseline grid against BENCH_baseline.json: records pair by
+# cell identity (scheme, workload, tree, tx_size, seed, cores,
+# ooo_window, mode), and the run fails if any record lacks a partner or
+# any deterministic field (cycles, event counts, retry counters)
+# diverges from the committed trajectory; it also reports the host-side
+# throughput delta (sim_events_per_sec geomean). The refreshed grid —
+# extended with the related-work scheme records (-related, carrying the
 # recovery_cycles axis), the multi-core contention records (-mcore) and
-# the fast-mode / parallel-DES re-runs (-fast), all of which append
-# after the legacy cells and so never perturb the comparison — lands in
-# BENCH_pr10.json so the current trajectory point is committed next to
-# the baseline it is measured against.
-# The trajectory run is pinned -parallel 1 so every record — functional,
-# fast and pdes alike — is measured serially on an otherwise-idle
-# machine: the printed fast/functional geomean is then an
-# identical-conditions comparison, not an artifact of worker contention.
+# the fast-mode re-runs (-fast) — lands in BENCH_pr10.json so the
+# current trajectory point is committed next to the baseline it is
+# measured against.
+# The trajectory run is pinned -parallel 1 so every record — functional
+# and fast alike — is measured serially on an otherwise-idle machine:
+# the printed fast/functional geomean is then an identical-conditions
+# comparison, not an artifact of worker contention.
 # -repeat 3 keeps the fastest wall time per cell: deterministic fields
 # are identical across repeats, so best-of-N only damps GC/scheduler
 # noise out of the throughput columns.
 bench-delta:
 	$(GO) run ./cmd/dolos-profile -grid -fast -txns 200 -repeat 3 -o /tmp/dolos-delta.json -compare BENCH_baseline.json
-	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -parallel 1 -txns 200 -repeat 3 -pdes-floor auto -o BENCH_pr10.json
+	$(GO) run ./cmd/dolos-profile -grid -related -mcore -fast -parallel 1 -txns 200 -repeat 3 -o BENCH_pr10.json
 
 # CPU+heap profile of a serial grid run, ready for `go tool pprof`.
 pprof:
@@ -166,7 +158,7 @@ load-smoke:
 # generator in -faults mode — the run must finish with zero errors AND
 # the client's retry/resubmission machinery must have fired, proving
 # the resilience path absorbed the injected panics, rejections and
-# stalls. Runs in CI next to load-smoke.
+# stalls. Runs in CI after load-smoke.
 chaos-smoke:
 	$(GO) build -o /tmp/dolos-serve-ci ./cmd/dolos-serve
 	$(GO) build -o /tmp/dolos-load-ci ./cmd/dolos-load

@@ -128,15 +128,10 @@ func BuildRunRecord(res cpu.Result, tree masu.TreeKind, txSize int, seed int64,
 }
 
 // ModeLabel names how a run executed for RunRecord.Mode: "fast" for the
-// latency-only provider, "pdes" for the pipelined functional shadow,
-// empty for the default functional serial simulator. FastMode wins when
-// both are set, mirroring controller.Config.
-func ModeLabel(fastMode, parallelDES bool) string {
-	switch {
-	case fastMode:
+// latency-only provider, empty for the default functional simulator.
+func ModeLabel(fastMode bool) string {
+	if fastMode {
 		return "fast"
-	case parallelDES:
-		return "pdes"
 	}
 	return ""
 }
@@ -164,8 +159,10 @@ func LoadBenchRecords(path string) ([]telemetry.RunRecord, error) {
 type BenchDelta struct {
 	// Records is the number of record pairs compared.
 	Records int
-	// Diffs holds one "path: current != baseline" line per divergent
-	// deterministic field, in record order then field order.
+	// Diffs holds one line per unpaired or duplicated record and one
+	// "path: current != baseline" line per divergent deterministic
+	// field, in current-record order then field order; records only the
+	// baseline holds come last, in baseline order.
 	Diffs []string
 	// EPSRatio is the geometric mean over records of
 	// sim_events_per_sec(current) / sim_events_per_sec(baseline); 0 when
@@ -182,40 +179,88 @@ func (d BenchDelta) Identical() bool { return len(d.Diffs) == 0 }
 // hostFields are the RunRecord JSON fields measured on the host rather
 // than in the simulated model; they differ run to run by design and are
 // excluded from bit-identity comparison (events_processed stays in: the
-// engine's dispatch count is deterministic). mode is a label of how the
-// host executed the run — fast-mode and parallel-DES records must match
-// their functional serial baseline on every other field.
-var hostFields = []string{"mode", "wall_seconds", "sim_events_per_sec"}
+// engine's dispatch count is deterministic).
+var hostFields = []string{"wall_seconds", "sim_events_per_sec"}
+
+// recordKey is a bench record's cell identity: the configuration axes
+// that tell two records of one grid apart. Mode is part of it, so a
+// fast-mode record pairs with the fast-mode record of the same cell.
+type recordKey struct {
+	scheme, workload, tree string
+	txSize                 int
+	seed                   int64
+	cores, oooWindow       int
+	mode                   string
+}
+
+func keyOf(rec telemetry.RunRecord) recordKey {
+	return recordKey{rec.Scheme, rec.Workload, rec.Tree, rec.TxSize, rec.Seed, rec.Cores, rec.OoOWindow, rec.Mode}
+}
+
+func (k recordKey) String() string {
+	s := fmt.Sprintf("%s/%s/%s tx=%d seed=%d cores=%d ooo=%d", k.scheme, k.workload, k.tree, k.txSize, k.seed, k.cores, k.oooWindow)
+	if k.mode != "" {
+		s += " mode=" + k.mode
+	}
+	return s
+}
 
 // CompareBenchRecords compares two bench grids field-by-field. Records
-// pair by position (the grid assembles records in enumeration order);
-// every JSON field of each record — including the nested counters and
-// histogram summaries — must match exactly, except the host-side
-// throughput fields, which feed the EPSRatio/WallRatio summary instead.
-// Numbers are compared as JSON literals, so the check is exact for
-// uint64 counters and bit-exact for floats.
+// pair by cell identity (scheme, workload, tree, tx_size, seed, cores,
+// ooo_window, mode), so either grid may list its cells in any order. A
+// key that appears twice on one side, or a record with no partner on
+// the other, is a diff. Every JSON field of each pair — including the
+// nested counters and histogram summaries — must match exactly, except
+// the host-side throughput fields, which feed the EPSRatio/WallRatio
+// summary instead. Numbers are compared as JSON literals, so the check
+// is exact for uint64 counters and bit-exact for floats.
 func CompareBenchRecords(cur, base []telemetry.RunRecord) BenchDelta {
-	d := BenchDelta{Records: len(cur)}
-	if len(cur) != len(base) {
-		d.Diffs = append(d.Diffs, fmt.Sprintf("record count: %d != %d (baseline)", len(cur), len(base)))
-		return d
+	var d BenchDelta
+	baseIdx := make(map[recordKey]int, len(base))
+	for i, rec := range base {
+		k := keyOf(rec)
+		if _, dup := baseIdx[k]; dup {
+			d.Diffs = append(d.Diffs, fmt.Sprintf("%s: duplicate record in baseline", k))
+			continue
+		}
+		baseIdx[k] = i
 	}
+	paired := make([]bool, len(base))
+	seen := make(map[recordKey]bool, len(cur))
 	var epsRatios []float64
 	var wallCur, wallBase float64
 	for i := range cur {
-		label := fmt.Sprintf("[%d] %s/%s", i, cur[i].Scheme, cur[i].Workload)
+		k := keyOf(cur[i])
+		if seen[k] {
+			d.Diffs = append(d.Diffs, fmt.Sprintf("%s: duplicate record", k))
+			continue
+		}
+		seen[k] = true
+		j, ok := baseIdx[k]
+		if !ok {
+			d.Diffs = append(d.Diffs, fmt.Sprintf("%s: absent in baseline", k))
+			continue
+		}
+		paired[j] = true
+		d.Records++
+		label := k.String()
 		a, errA := comparableRecord(cur[i])
-		b, errB := comparableRecord(base[i])
+		b, errB := comparableRecord(base[j])
 		if errA != nil || errB != nil {
 			d.Diffs = append(d.Diffs, fmt.Sprintf("%s: re-encode failed: %v %v", label, errA, errB))
 			continue
 		}
 		diffJSON(label, a, b, &d.Diffs)
-		if cur[i].EventsPerSecond > 0 && base[i].EventsPerSecond > 0 {
-			epsRatios = append(epsRatios, cur[i].EventsPerSecond/base[i].EventsPerSecond)
+		if cur[i].EventsPerSecond > 0 && base[j].EventsPerSecond > 0 {
+			epsRatios = append(epsRatios, cur[i].EventsPerSecond/base[j].EventsPerSecond)
 		}
 		wallCur += cur[i].WallSeconds
-		wallBase += base[i].WallSeconds
+		wallBase += base[j].WallSeconds
+	}
+	for j, rec := range base {
+		if !paired[j] && baseIdx[keyOf(rec)] == j {
+			d.Diffs = append(d.Diffs, fmt.Sprintf("%s: absent in current grid", keyOf(rec)))
+		}
 	}
 	d.EPSRatio = stats.GeoMean(epsRatios)
 	if wallBase > 0 {

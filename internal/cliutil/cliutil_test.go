@@ -201,3 +201,50 @@ func TestCompareBenchRecordsCountMismatch(t *testing.T) {
 		t.Fatal("record-count mismatch not reported")
 	}
 }
+
+// TestCompareBenchRecordsByIdentity pins the pairing rule: records match
+// by cell identity, so order is free, while a record without a partner
+// or a key listed twice is reported.
+func TestCompareBenchRecordsByIdentity(t *testing.T) {
+	rec := func(workload, mode string, cores int) telemetry.RunRecord {
+		r := benchRecord()
+		r.Workload, r.Mode, r.Cores = workload, mode, cores
+		return r
+	}
+	a, b := rec("Hashmap", "", 0), rec("Btree", "", 0)
+	fast, multi := rec("Hashmap", "fast", 0), rec("Hashmap", "", 2)
+	type grid = []telemetry.RunRecord
+	for _, tc := range []struct {
+		name      string
+		cur, base grid
+		want      []string // substrings of the expected diffs, in order
+	}{
+		{"same order", grid{a, b, fast}, grid{a, b, fast}, nil},
+		{"reordered", grid{fast, a, b, multi}, grid{b, multi, fast, a}, nil},
+		{"missing", grid{a, fast}, grid{a, b, fast},
+			[]string{"Btree/BMT-eager tx=1024 seed=1 cores=0 ooo=0: absent in current grid"}},
+		{"extra", grid{a, b, fast}, grid{a, b},
+			[]string{"Hashmap/BMT-eager tx=1024 seed=1 cores=0 ooo=0 mode=fast: absent in baseline"}},
+		{"mode and cores are identity", grid{fast, multi}, grid{a},
+			[]string{"mode=fast: absent in baseline", "cores=2 ooo=0: absent in baseline", "cores=0 ooo=0: absent in current grid"}},
+		{"duplicate current", grid{a, b, a}, grid{a, b},
+			[]string{"Hashmap/BMT-eager tx=1024 seed=1 cores=0 ooo=0: duplicate record"}},
+		{"duplicate baseline", grid{a, b}, grid{b, a, a},
+			[]string{"Hashmap/BMT-eager tx=1024 seed=1 cores=0 ooo=0: duplicate record in baseline"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			delta := CompareBenchRecords(tc.cur, tc.base)
+			if len(delta.Diffs) != len(tc.want) {
+				t.Fatalf("diffs = %q, want %d", delta.Diffs, len(tc.want))
+			}
+			for i, w := range tc.want {
+				if !strings.Contains(delta.Diffs[i], w) {
+					t.Errorf("diff[%d] = %q, want it to contain %q", i, delta.Diffs[i], w)
+				}
+			}
+			if tc.want == nil && delta.Records != len(tc.cur) {
+				t.Errorf("Records = %d, want %d", delta.Records, len(tc.cur))
+			}
+		})
+	}
+}

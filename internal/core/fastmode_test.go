@@ -27,13 +27,16 @@ func record(t *testing.T, r *Runner, workload string, spec Spec) telemetry.RunRe
 	}
 	rec := cliutil.BuildRunRecord(res, spec.Tree, spec.TxSize, r.Options().Seed,
 		m.Events(), 0, m.Stats(), nil)
-	rec.Mode = cliutil.ModeLabel(spec.FastMode, spec.ParallelDES)
+	rec.Mode = cliutil.ModeLabel(spec.FastMode)
 	return rec
 }
 
 // diffRecords compares two records over every deterministic field and
-// reports the divergences (mode and host throughput excluded).
+// reports the divergences (mode and host throughput excluded). The
+// comparator pairs records by cell identity, mode included, so the fast
+// record is compared under the functional record's mode label.
 func diffRecords(fast, functional telemetry.RunRecord) []string {
+	fast.Mode = functional.Mode
 	d := cliutil.CompareBenchRecords(
 		[]telemetry.RunRecord{fast}, []telemetry.RunRecord{functional})
 	return d.Diffs

@@ -193,16 +193,13 @@ func (s *System) SetProbe(p *telemetry.Probe) {
 func (s *System) Probe() *telemetry.Probe { return s.probe }
 
 // Run executes the trace to completion and returns the result. The
-// engine is drained afterwards so the controller quiesces.
+// engine is drained first, so the controller is quiescent.
 func (s *System) Run(tr *trace.Trace) Result {
 	s.Start(tr)
 	s.Eng.Run(0)
 	if !s.finished {
 		panic("cpu: trace execution deadlocked (fence never satisfied)")
 	}
-	// Event horizon: a parallel-DES shadow stage drains here, so the
-	// functional state is complete before anyone inspects the result.
-	s.Ctrl.Quiesce()
 	return s.Collect(tr)
 }
 
@@ -382,7 +379,6 @@ func (s *System) RunWith(tr *trace.Trace, fe FrontEnd) Result {
 	if !s.finished {
 		panic("cpu: trace execution deadlocked (fence never satisfied)")
 	}
-	s.Ctrl.Quiesce()
 	return s.Collect(tr)
 }
 

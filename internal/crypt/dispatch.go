@@ -155,32 +155,6 @@ func (d Dispatch) NodeMAC(payload []byte, position uint64) MAC {
 	}
 }
 
-// PadBatch fills dst[i] with the pad for ivs[i]. The batch buffers are
-// caller-owned scratch slices (already heap-resident), so the fallback
-// passes them through without the copy dance of the pointer methods.
-func (d Dispatch) PadBatch(dst []Pad, ivs []IV) {
-	switch {
-	case d.f != nil:
-		d.f.PadBatch(dst, ivs)
-	case d.x != nil:
-		d.x.PadBatch(dst, ivs)
-	default:
-		d.p.PadBatch(dst, ivs)
-	}
-}
-
-// MACBatch fills dst[i] with the MAC for reqs[i].
-func (d Dispatch) MACBatch(dst []MAC, reqs []MACReq) {
-	switch {
-	case d.f != nil:
-		d.f.MACBatch(dst, reqs)
-	case d.x != nil:
-		d.x.MACBatch(dst, reqs)
-	default:
-		d.p.MACBatch(dst, reqs)
-	}
-}
-
 // LineECC computes the Osiris check over a plaintext line.
 func (d Dispatch) LineECC(plain *[BlockSize]byte) uint32 {
 	switch {

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -150,6 +151,14 @@ func tailEndsHere(f *os.File, end int64) bool {
 	return fi.Size() <= end
 }
 
+// appendFrame appends payload's WAL frame (header, then payload) to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = slices.Grow(dst, walHeaderLen+len(payload))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
 // writeFrame frames and writes one payload without syncing, returning
 // the file offset the frame ends at — the durability target to pass to
 // waitDurable. Caller holds the owning mutex.
@@ -160,10 +169,7 @@ func (w *wal) writeFrame(payload []byte) (int64, error) {
 	if len(payload) > maxWALRecord {
 		return 0, fmt.Errorf("store: record of %d bytes exceeds limit", len(payload))
 	}
-	frame := make([]byte, walHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[walHeaderLen:], payload)
+	frame := appendFrame(nil, payload)
 	if _, err := w.f.Write(frame); err != nil {
 		return 0, fmt.Errorf("store: WAL append: %w", err)
 	}
