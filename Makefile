@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-json bench-delta mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke cluster-smoke clean
+.PHONY: all build test test-short vet fmt bench bench-par bench-smoke bench-json bench-delta mcore-smoke fast-smoke scheme-smoke pprof ci profile reproduce validate serve load-smoke chaos-smoke cluster-smoke fuzz-smoke clean
 
 all: build test
 
@@ -67,6 +67,7 @@ ci:
 	$(MAKE) load-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) cluster-smoke
+	$(MAKE) fuzz-smoke
 
 # Multi-core determinism smoke under the race detector: a Cores>1 grid
 # run serially and at executor parallelism 4 must produce byte-identical
@@ -178,6 +179,14 @@ chaos-smoke:
 # Runs in CI.
 cluster-smoke:
 	bash scripts/cluster_smoke.sh
+
+# Fuzz smoke: each native fuzz target explores for 10 seconds beyond
+# its committed seed corpus (which plain `go test` already runs) — the
+# WAL frame decoder and service request normalisation. Runs in CI; a
+# longer run is the same command with a larger -fuzztime.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzScanWAL$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 10s ./internal/service
 
 clean:
 	$(GO) clean ./...

@@ -46,14 +46,14 @@ func TestSubmitRetriesQueueFull(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "3")
-			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "job queue is full"})
+			writeJSON(w, http.StatusTooManyRequests, map[string]string{"code": "queue_full", "message": "job queue is full"})
 			return
 		}
-		writeJSON(w, http.StatusAccepted, Job{ID: "j1", Status: StatusQueued})
+		writeJSON(w, http.StatusAccepted, JobV2{ID: "j1", Status: StatusQueued})
 	})
 	c, slept := newTestClient(t, h)
 
-	job, err := c.Submit(context.Background(), Request{Workloads: []string{"Hashmap"}})
+	job, err := c.V2().SubmitGrid(context.Background(), Request{Workloads: []string{"Hashmap"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestSubmitGivesUp(t *testing.T) {
 	var calls atomic.Int64
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "draining"})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"code": "unavailable", "message": "draining"})
 	})
 	c, _ := newTestClient(t, h, WithRetryPolicy(RetryPolicy{MaxAttempts: 3}))
 
-	_, err := c.Submit(context.Background(), Request{})
+	_, err := c.V2().SubmitGrid(context.Background(), Request{})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
@@ -137,17 +137,17 @@ func TestRunPollsToDone(t *testing.T) {
 	statuses := []Status{StatusQueued, StatusRunning, StatusDone}
 	var polls atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, Job{ID: "j7", Status: StatusQueued, QueuePosition: 1})
+	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, JobV2{ID: "j7", Status: StatusQueued, QueuePosition: 1})
 	})
-	mux.HandleFunc("GET /v1/jobs/j7", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v2/jobs/j7", func(w http.ResponseWriter, r *http.Request) {
 		i := polls.Add(1) - 1
 		if i >= int64(len(statuses)) {
 			i = int64(len(statuses)) - 1
 		}
-		writeJSON(w, http.StatusOK, Job{ID: "j7", Status: statuses[i]})
+		writeJSON(w, http.StatusOK, JobV2{ID: "j7", Status: statuses[i]})
 	})
-	mux.HandleFunc("GET /v1/jobs/j7/result", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v2/jobs/j7/result", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`[{"workload":"Hashmap"}]`))
 	})
 	c, _ := newTestClient(t, mux)
@@ -170,17 +170,17 @@ func TestRunPollsToDone(t *testing.T) {
 func TestRunResubmitsFailedJob(t *testing.T) {
 	var submits atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
 		id := fmt.Sprintf("j%d", submits.Add(1))
-		writeJSON(w, http.StatusAccepted, Job{ID: id, Status: StatusQueued})
+		writeJSON(w, http.StatusAccepted, JobV2{ID: id, Status: StatusQueued})
 	})
-	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Job{ID: "j1", Status: StatusFailed, Err: "injected panic"})
+	mux.HandleFunc("GET /v2/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, JobV2{ID: "j1", Status: StatusFailed, Err: "injected panic"})
 	})
-	mux.HandleFunc("GET /v1/jobs/j2", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Job{ID: "j2", Status: StatusDone})
+	mux.HandleFunc("GET /v2/jobs/j2", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, JobV2{ID: "j2", Status: StatusDone})
 	})
-	mux.HandleFunc("GET /v1/jobs/j2/result", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v2/jobs/j2/result", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`[{"ok":true}]`))
 	})
 	c, _ := newTestClient(t, mux)
@@ -202,11 +202,11 @@ func TestRunResubmitsFailedJob(t *testing.T) {
 func TestRunGivesUpOnPersistentFailure(t *testing.T) {
 	var submits atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, Job{ID: fmt.Sprintf("j%d", submits.Add(1)), Status: StatusQueued})
+	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, JobV2{ID: fmt.Sprintf("j%d", submits.Add(1)), Status: StatusQueued})
 	})
-	mux.HandleFunc("GET /v1/jobs/", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Job{ID: "j", Status: StatusFailed, Err: "boom"})
+	mux.HandleFunc("GET /v2/jobs/", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, JobV2{ID: "j", Status: StatusFailed, Err: "boom"})
 	})
 	c, _ := newTestClient(t, mux, WithRetryPolicy(RetryPolicy{MaxAttempts: 2}))
 
@@ -225,14 +225,14 @@ func TestRunGivesUpOnPersistentFailure(t *testing.T) {
 // TestStatusNotFound: an unknown job id matches ErrJobNotFound.
 func TestStatusNotFound(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job"})
+		writeJSON(w, http.StatusNotFound, map[string]string{"code": "not_found", "message": "unknown job"})
 	})
 	c, _ := newTestClient(t, h)
 
-	if _, err := c.Status(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
+	if _, err := c.V2().Status(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
 		t.Fatalf("Status err = %v, want ErrJobNotFound", err)
 	}
-	if _, err := c.Result(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
+	if _, err := c.V2().Result(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
 		t.Fatalf("Result err = %v, want ErrJobNotFound", err)
 	}
 }
@@ -240,10 +240,10 @@ func TestStatusNotFound(t *testing.T) {
 // TestResultNotDone: Result on an unsettled job matches ErrJobNotDone.
 func TestResultNotDone(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, Job{ID: "j1", Status: StatusRunning})
+		writeJSON(w, http.StatusAccepted, JobV2{ID: "j1", Status: StatusRunning})
 	})
 	c, _ := newTestClient(t, h)
-	if _, err := c.Result(context.Background(), "j1"); !errors.Is(err, ErrJobNotDone) {
+	if _, err := c.V2().Result(context.Background(), "j1"); !errors.Is(err, ErrJobNotDone) {
 		t.Fatalf("err = %v, want ErrJobNotDone", err)
 	}
 }
@@ -254,12 +254,12 @@ func TestRunSingleFlight(t *testing.T) {
 	var submits atomic.Int64
 	release := make(chan struct{})
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
 		submits.Add(1)
 		<-release
-		writeJSON(w, http.StatusOK, Job{ID: "j1", Status: StatusDone, Cached: true})
+		writeJSON(w, http.StatusOK, JobV2{ID: "j1", Status: StatusDone, Cached: true})
 	})
-	mux.HandleFunc("GET /v1/jobs/j1/result", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v2/jobs/j1/result", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`[{}]`))
 	})
 	srv := httptest.NewServer(mux)
@@ -297,13 +297,13 @@ func TestRunSingleFlight(t *testing.T) {
 // loop immediately with the context's error, not a retry exhaustion.
 func TestContextCancelPropagates(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "full"})
+		writeJSON(w, http.StatusTooManyRequests, map[string]string{"code": "queue_full", "message": "full"})
 	})
 	c, _ := newTestClient(t, h)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Submit(ctx, Request{})
+	_, err := c.V2().SubmitGrid(ctx, Request{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

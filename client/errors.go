@@ -23,7 +23,7 @@ import (
 //	}
 var (
 	// ErrQueueFull reports a 429: the server's job queue is saturated.
-	// Submit and Run retry it automatically, honoring Retry-After; it
+	// SubmitGrid and Run retry it automatically, honoring Retry-After; it
 	// surfaces only once the retry budget is spent.
 	ErrQueueFull = errors.New("client: server job queue is full")
 	// ErrUnavailable reports a 503: the server is draining or down for
@@ -37,7 +37,7 @@ var (
 	// failed jobs (idempotently) before surfacing this.
 	ErrJobFailed = errors.New("client: job failed")
 	// ErrJobNotDone reports a Result call on a job that has not settled
-	// yet. WaitResult is the polling entry point that never returns it.
+	// yet. Run, which polls to settlement, never returns it.
 	ErrJobNotDone = errors.New("client: job not done")
 )
 
@@ -52,7 +52,7 @@ type StatusError struct {
 	RetryAfter time.Duration
 	// APICode is the server's stable machine-readable error code from
 	// the versioned envelope ("queue_full", "quota_exceeded", ...).
-	// Empty when the server predates the envelope.
+	// Empty when the body is not an envelope (say, a proxy's error page).
 	APICode string
 }
 
@@ -81,18 +81,14 @@ func statusError(resp *http.Response, body []byte) *StatusError {
 		Code       string `json:"code"`
 		Message    string `json:"message"`
 		RetryAfter int64  `json:"retry_after"`
-		Error      string `json:"error"` // legacy pre-envelope key
 	}
 	se := &StatusError{
 		Code:       resp.StatusCode,
 		RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 	}
 	if err := json.Unmarshal(body, &envelope); err == nil {
-		switch {
-		case envelope.Message != "":
+		if envelope.Message != "" {
 			msg = envelope.Message
-		case envelope.Error != "":
-			msg = envelope.Error
 		}
 		se.APICode = envelope.Code
 		if se.RetryAfter == 0 && envelope.RetryAfter > 0 {

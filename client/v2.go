@@ -13,9 +13,10 @@ import (
 	"strings"
 )
 
-// V2 returns the client's /v2 API surface: context-first submission,
-// resumable result streaming, and cluster introspection. The same
-// retry policy, backoff and HTTP client as the v1 methods apply.
+// V2 returns the client's step-by-step /v2 API surface: context-first
+// submission, status, result fetch, resumable result streaming, and
+// cluster introspection. The client's retry policy, backoff and HTTP
+// client apply, as they do to Run.
 func (c *Client) V2() *V2Client { return &V2Client{c: c} }
 
 // V2Client speaks the /v2 API of one dolos-serve node (or the
@@ -147,8 +148,9 @@ func (v *V2Client) Status(ctx context.Context, id string) (*JobV2, error) {
 	return &job, nil
 }
 
-// Result fetches a settled job's RunRecord bytes from /v2. Sentinels
-// match the v1 Result method.
+// Result fetches a settled job's RunRecord bytes. A job still in
+// flight matches ErrJobNotDone (poll Status, or use Stream), a failed
+// job ErrJobFailed, an unknown id ErrJobNotFound.
 func (v *V2Client) Result(ctx context.Context, id string) ([]byte, error) {
 	b, resp, err := v.c.get(ctx, "/v2/jobs/"+id+"/result")
 	if err != nil {

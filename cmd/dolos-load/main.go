@@ -1,7 +1,9 @@
 // Command dolos-load is a closed-loop load generator for dolos-serve,
 // built on the official client package: a pool of concurrent clients
-// submits jobs through client.Run — which retries 429/503 rejections
-// with backoff, honors Retry-After, and resubmits failed jobs — and
+// submits jobs through client.Run — which submits to POST /v2/jobs,
+// polls the job to settlement and fetches its result, retries 429/503
+// rejections with backoff, honors Retry-After, and resubmits failed
+// jobs — or, with -stream, consumes each job's /v2 SSE stream, and
 // reports throughput, latency percentiles, the cache hit rate, and the
 // client's retry/resubmission counts.
 //

@@ -63,9 +63,9 @@ func TestIntegrationTxSizeMonotonicity(t *testing.T) {
 	// Figures 13-14 at matrix scale: for every workload, retries rise
 	// and speedups shrink (weakly) from 128B to 2048B.
 	runner := dolos.NewRunner(dolos.Options{Transactions: 100})
-	for _, workload := range dolos.Workloads() {
-		small := speedupAt(t, runner, workload, 128)
-		large := speedupAt(t, runner, workload, 2048)
+	for _, workload := range dolos.AllWorkloads() {
+		small := speedupAt(t, runner, workload.String(), 128)
+		large := speedupAt(t, runner, workload.String(), 2048)
 		if large > small*1.15 {
 			t.Fatalf("%s: speedup grew with tx size (%.2f -> %.2f)", workload, small, large)
 		}

@@ -92,8 +92,15 @@ func openWAL(path string) (*wal, [][]byte, error) {
 // scanWAL reads frames from the start of f, returning the decoded
 // payloads and the offset of the last valid frame end. A short or
 // checksum-failing frame at EOF is a torn tail (not an error); the
-// same anywhere before EOF is errCorruptWAL.
+// same anywhere before EOF is errCorruptWAL. A frame whose declared
+// end lies past EOF is torn before its payload is allocated, so a
+// garbage length in a torn header costs nothing.
 func scanWAL(f *os.File) (records [][]byte, valid int64, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	size := fi.Size()
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, 0, err
 	}
@@ -112,15 +119,22 @@ func scanWAL(f *os.File) (records [][]byte, valid int64, err error) {
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
+		// tail reports whether the file holds no data past this frame's
+		// declared end — i.e. a bad frame here is the final one, so it
+		// can be attributed to a torn append rather than mid-file
+		// corruption.
+		end := off + walHeaderLen + int64(length)
+		tail := size <= end
 		if length > maxWALRecord {
-			// A garbage length field. If the declared payload would
-			// extend past EOF the frame cannot be complete — a torn
-			// append; truncate. A full-sized garbage frame mid-file is
-			// corruption.
-			if !tailEndsHere(f, off+walHeaderLen+int64(length)) {
+			// A garbage length field: a torn append if nothing follows
+			// the frame's declared end, corruption otherwise.
+			if !tail {
 				return nil, 0, errCorruptWAL
 			}
 			return records, off, nil
+		}
+		if end > size {
+			return records, off, nil // torn payload at tail
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(r, payload); err != nil {
@@ -130,25 +144,14 @@ func scanWAL(f *os.File) (records [][]byte, valid int64, err error) {
 			return nil, 0, err
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
-			if tailEndsHere(f, off+walHeaderLen+int64(length)) {
+			if tail {
 				return records, off, nil
 			}
 			return nil, 0, errCorruptWAL
 		}
 		records = append(records, payload)
-		off += walHeaderLen + int64(length)
+		off = end
 	}
-}
-
-// tailEndsHere reports whether the file holds no data past end — i.e.
-// the bad frame that begins before end is the final one, so it can be
-// attributed to a torn append rather than mid-file corruption.
-func tailEndsHere(f *os.File, end int64) bool {
-	fi, err := f.Stat()
-	if err != nil {
-		return false
-	}
-	return fi.Size() <= end
 }
 
 // appendFrame appends payload's WAL frame (header, then payload) to dst.

@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -47,4 +49,37 @@ func FuzzScanWAL(f *testing.F) {
 				len(records), len(reframed), valid)
 		}
 	})
+}
+
+// TestScanWALTornHeaderAllocatesNothing: a torn tail header whose
+// length field declares a payload far past EOF (here 60 MiB, under the
+// maxWALRecord cap) is truncated without allocating that payload.
+func TestScanWALTornHeaderAllocatesNothing(t *testing.T) {
+	data := appendFrame(nil, []byte("ok"))
+	first := int64(len(data))
+	data = binary.LittleEndian.AppendUint32(data, 60<<20)
+	data = binary.LittleEndian.AppendUint32(data, 0)
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fh, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	records, valid, err := scanWAL(fh)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 1 || string(records[0]) != "ok" || valid != first {
+		t.Fatalf("scanWAL = %d records, valid %d; want the one frame, valid %d", len(records), valid, first)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("scanWAL allocated %d B for a torn 60 MiB header, want < 1 MiB", d)
+	}
 }
